@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import time
 from typing import Any, Dict, Optional
+
+import numpy as np
 
 from repro import obs
 from repro.analysis.experiments import run_experiment
 from repro.analysis.experiments.base import ExperimentResult
+from repro.core.columnar_analysis import _usable_cores
 
 #: The repo-root perf trajectory file (see docs/PERFORMANCE.md).
 PERF_RECORD_PATH = os.path.abspath(
@@ -62,6 +67,35 @@ def span_totals() -> Dict[str, float]:
     return {name: round(total, 6) for name, total in sorted(totals.items())}
 
 
+def provenance() -> Dict[str, Any]:
+    """Where a perf record was measured: commit, interpreter, cores, host.
+
+    ``git_sha``/``git_dirty`` are ``None`` outside a git checkout.
+    ``usable_cores`` is the worker count the columnar read path uses
+    (this process's CPU affinity), so read-path speed depends on it.
+    """
+    repo = os.path.dirname(PERF_RECORD_PATH)
+
+    def git(*argv: str) -> Optional[str]:
+        try:
+            return subprocess.run(
+                ["git", *argv], cwd=repo, capture_output=True, text=True, check=True
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if sha else None
+    return {
+        "git_sha": sha,
+        "git_dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "usable_cores": _usable_cores(),
+        "platform": platform.platform(),
+    }
+
+
 def write_perf_record(
     scenario: str,
     wall_s: float,
@@ -80,6 +114,7 @@ def write_perf_record(
     spans (docs/OBSERVABILITY.md).  CI's perf-smoke job re-runs the pinned
     workload, appends its entry, and uploads the file as an artifact, so a
     hot-path regression shows up as a visible step in the time series.
+    Every record carries its :func:`provenance`.
     """
     target = path or PERF_RECORD_PATH
     try:
@@ -96,6 +131,7 @@ def write_perf_record(
         "sessions_per_s": round(n_sessions / wall_s, 1),
         "chunks_per_s": round(n_chunks / wall_s, 1),
         "spans": span_totals(),
+        "provenance": provenance(),
     }
     if extra:
         record.update(extra)

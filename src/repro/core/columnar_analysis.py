@@ -7,7 +7,7 @@ into per-session ``SessionView`` objects.  This module computes the same
 three results directly on the numpy structured arrays of
 :mod:`repro.telemetry.columnar` — the join, the Eq. 2/4/5 chunk math, and
 the per-session reductions all run as whole-column numpy operations, with
-sessions grouped via ``sort_array`` order + ``searchsorted`` boundaries
+sessions coded by their position in the byte-ordered session universe
 instead of per-session object graphs.
 
 Two invariants drive every line here:
@@ -20,7 +20,8 @@ Two invariants drive every line here:
   pairwise summation regroups float additions.
 * **Bounded memory.**  Datasets are consumed in session-aligned blocks
   sized by :data:`~repro.telemetry.columnar.ITER_BLOCK_ROWS`; spilled runs
-  stay memory-mapped and only the current block's rows are materialized.
+  stay memory-mapped and only the blocks in flight are materialized (one,
+  or one per worker thread at a divided budget).
   Works for in-memory :class:`~repro.telemetry.dataset.Dataset` objects,
   single-directory spills, sharded spills, and multi-period
   ``period-<label>/`` layouts alike.
@@ -31,8 +32,10 @@ and docs/TELEMETRY.md for the columnar layout it consumes.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+import os
+from collections import Counter, deque
+from contextlib import closing
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,13 +146,23 @@ def _dataset_runs(dataset: Any, kinds: Sequence[str]) -> Dict[str, List[np.ndarr
 class _BlockPlan:
     """Session-aligned block boundaries precomputed per run.
 
-    For every run of every kind the session-id column is extracted *once*,
-    both block boundary vectors are computed with two ``searchsorted``
-    calls, and the column is dropped — peak transient memory is one run's
-    session-id column, not the whole kind's.
+    The player-session runs give the session universe (the byte-ordered
+    unique session ids); a block is a slice of it, its :meth:`names`.
+    For every run of every other kind the session-id column is extracted
+    *once*, both block boundary vectors are computed with two
+    ``searchsorted`` calls, and the column is dropped — peak transient
+    memory is one run's session-id column, not the whole kind's.
+
+    Blocks hold ``ITER_BLOCK_ROWS`` rows of the widest kind.  When that
+    budget needs more than one block and *workers* > 1, the budget is
+    divided by *workers*, so the ``workers`` blocks in flight at once
+    together stay within one block's rows; otherwise :attr:`workers` is 1
+    and the pass stays serial.
     """
 
-    def __init__(self, runs: Dict[str, List[np.ndarray]], kinds: Sequence[str]):
+    def __init__(
+        self, runs: Dict[str, List[np.ndarray]], kinds: Sequence[str], workers: int = 1
+    ):
         ps_runs = runs.get("player_sessions", ())
         if ps_runs:
             universe = np.unique(
@@ -157,7 +170,9 @@ class _BlockPlan:
             )
         else:
             universe = np.empty(0, dtype=COLUMN_SCHEMAS["player_sessions"].dtype["session_id"])
+        self.universe = universe
         self.n_sids = len(universe)
+        self.workers = 1
         if self.n_sids == 0:
             self.n_blocks = 0
             self.slices: Dict[str, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
@@ -165,6 +180,10 @@ class _BlockPlan:
         total_rows = max(sum(len(r) for r in runs.get(kind, ())) for kind in kinds)
         rows_per_session = max(1.0, total_rows / self.n_sids)
         block_sessions = max(1, int(ITER_BLOCK_ROWS / rows_per_session))
+        if workers > 1 and self.n_sids > block_sessions:
+            self.workers = workers
+            block_sessions = max(1, int(ITER_BLOCK_ROWS / workers / rows_per_session))
+        self.block_sessions = block_sessions
         bounds = list(range(0, self.n_sids, block_sessions))
         self.n_blocks = len(bounds)
         los = universe[np.asarray(bounds, dtype=np.int64)]
@@ -173,6 +192,8 @@ class _BlockPlan:
         ]
         self.slices = {}
         for kind in kinds:
+            if kind == "player_sessions":
+                continue  # read only for the universe: each block's names
             entries = []
             for run in runs.get(kind, ()):
                 col = np.ascontiguousarray(run["session_id"])
@@ -182,36 +203,83 @@ class _BlockPlan:
                 entries.append((run, a, b))
             self.slices[kind] = entries
 
-    def block(self, kind: str, i: int) -> np.ndarray:
-        """Rows of *kind* for block *i*, in canonical merge order."""
+    def names(self, i: int) -> np.ndarray:
+        """Block *i*'s slice of the byte-ordered session universe."""
+        start = i * self.block_sessions
+        return self.universe[start : start + self.block_sessions]
+
+    def block(
+        self, kind: str, i: int, kept: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of *kind* for block *i*, in canonical merge order.
+
+        Returns ``(rows, codes)``: only rows whose session is in
+        :meth:`names` (and, given the boolean mask *kept* over those
+        names, is kept), with ``codes[j]`` the index of row j's session
+        among the names (among the kept names).
+        """
+        names = self.names(i)
         parts = [
             np.asarray(run[a[i] : b[i]]) for run, a, b in self.slices[kind] if b[i] > a[i]
         ]
         if not parts:
-            return np.empty(0, dtype=COLUMN_SCHEMAS[kind].dtype)
-        if len(parts) == 1:
-            return parts[0]
-        # runs were stable-sorted at flush, and heapq.merge resolves ties
-        # to the earlier stream — which is exactly run enumeration order —
-        # so a stable sort of the enumeration-ordered concatenation
-        # reproduces the global merge order bit-for-bit.
-        return sort_array(kind, np.concatenate(parts))
+            empty = np.empty(0, dtype=COLUMN_SCHEMAS[kind].dtype)
+            return empty, np.empty(0, dtype=np.int64)
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # Runs are session-sorted, so each part is coded by locating the
+        # names in it.  A session id absent from the universe (a
+        # CDN-only session) gets the code of the name before it, so its
+        # rows may share a neighbour's code.  That is safe only because
+        # the exact-match test drops them here, before the merge sorts
+        # by code: on the rows kept, codes order like the byte keys.
+        code = np.concatenate([_part_codes(names, p["session_id"]) for p in parts])
+        member = names[code] == rows["session_id"]
+        if kept is not None:
+            member &= kept[code]
+        sel = np.flatnonzero(member)
+        if len(parts) > 1:
+            # runs were stable-sorted at flush, and heapq.merge resolves
+            # ties to the earlier stream — which is exactly run
+            # enumeration order — so a stable sort of the
+            # enumeration-ordered concatenation reproduces the global
+            # merge order bit-for-bit.
+            sel = sel[_merge_order(kind, rows, sel, code[sel])]
+        code = code[sel]
+        if kept is not None:
+            code = (np.cumsum(kept) - 1)[code]
+        return rows[sel], code
 
 
-def _member_codes(
-    kept: np.ndarray, arr: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Filter *arr* to rows whose session_id is in sorted *kept*.
+def _part_codes(names: np.ndarray, sids: np.ndarray) -> np.ndarray:
+    """Per row of the session-sorted *sids*, the index of the last name <= it.
 
-    Returns ``(rows, codes)`` where ``codes[i]`` is the index into *kept*
-    of row i's session.  Both stay sorted because *arr* is session-sorted.
+    Every row of a block part sorts at or after the block's first name,
+    so each row gets a code.
     """
-    if len(arr) == 0 or len(kept) == 0:
-        return arr[:0], np.empty(0, dtype=np.int64)
-    col = arr["session_id"]
-    idx = np.minimum(np.searchsorted(kept, col), len(kept) - 1)
-    mask = kept[idx] == col
-    return arr[mask], idx[mask]
+    starts = np.searchsorted(sids, names)
+    counts = np.diff(starts, append=len(sids))
+    return np.repeat(np.arange(len(names), dtype=np.int64), counts)
+
+
+def _merge_order(
+    kind: str, rows: np.ndarray, sel: np.ndarray, code: np.ndarray
+) -> np.ndarray:
+    """Stable canonical-order permutation of ``rows[sel]``, coded *code*.
+
+    Equal to ``sort_array``'s structured argsort of those rows at
+    integer-sort cost: the session code, which orders like the byte-ordered
+    session id, is fused with ``chunk_id`` (non-negative, as the join's
+    fused keys require); the remaining sort keys (``t_ms``) follow as
+    ``lexsort`` keys.
+    """
+    sort_keys = COLUMN_SCHEMAS[kind].sort_keys
+    if len(sort_keys) == 1:
+        return np.argsort(code, kind="stable")
+    chunk = rows["chunk_id"][sel]
+    fused = code * (int(chunk.max(initial=0)) + 1) + chunk
+    # lexsort's last key is the primary one
+    minor = tuple(rows[name][sel] for name in reversed(sort_keys[2:]))
+    return np.lexsort(minor + (fused,))
 
 
 def _last_wins_match(keys: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -531,22 +599,22 @@ def _compute_block(
     want_cascade: bool,
     want_truth: bool,
 ) -> Optional[_JoinedBlock]:
-    ps = plan.block("player_sessions", index)
-    cs = plan.block("cdn_sessions", index)
-    ps_sids = np.unique(ps["session_id"])
-    cs_sids = np.unique(cs["session_id"])
-    kept = ps_sids[np.isin(ps_sids, cs_sids, assume_unique=True)]
-    n_kept = len(kept)
+    # the universe is the player session ids, so every name has a player
+    # session; a session is analysed when it also has a CDN session
+    _, cs_code = plan.block("cdn_sessions", index)
+    kept = np.zeros(len(plan.names(index)), dtype=bool)
+    kept[cs_code] = True
+    n_kept = int(np.count_nonzero(kept))
     if n_kept == 0:
         return None
-    pc, pc_code = _member_codes(kept, plan.block("player_chunks", index))
-    cc, cc_code = _member_codes(kept, plan.block("cdn_chunks", index))
+    pc, pc_code = plan.block("player_chunks", index, kept)
+    cc, cc_code = plan.block("cdn_chunks", index, kept)
     loaded = [pc, cc]
     if want_cascade:
-        tm, tm_code = _member_codes(kept, plan.block("tcp_snapshots", index))
+        tm, tm_code = plan.block("tcp_snapshots", index, kept)
         loaded.append(tm)
     if want_truth:
-        gt, gt_code = _member_codes(kept, plan.block("ground_truth", index))
+        gt, gt_code = plan.block("ground_truth", index, kept)
         loaded.append(gt)
     max_id = 0
     for arr in loaded:
@@ -771,6 +839,43 @@ _STATE_FACTORIES = {
 }
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity where available)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _computed_blocks(
+    plan: _BlockPlan, want_cascade: bool, want_truth: bool
+) -> Iterator[Optional[_JoinedBlock]]:
+    """Every block of *plan*, computed, in block order.
+
+    With ``plan.workers`` > 1 the blocks are computed on a thread pool
+    (``_compute_block`` reads the plan and shares no mutable state), at
+    most ``plan.workers`` at a time: the next block is submitted only
+    once the caller has consumed the previous one.  Yielding in block
+    order keeps every accumulator fold exactly as in the serial pass.
+    """
+    if plan.workers == 1:
+        for i in range(plan.n_blocks):
+            yield _compute_block(plan, i, want_cascade, want_truth)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(plan.workers, thread_name_prefix="analysis-block") as pool:
+        def submit(i: int):
+            return pool.submit(_compute_block, plan, i, want_cascade, want_truth)
+
+        pending = deque(submit(i) for i in range(min(plan.workers, plan.n_blocks)))
+        next_index = len(pending)
+        while pending:
+            yield pending.popleft().result()
+            if next_index < plan.n_blocks:
+                pending.append(submit(next_index))
+                next_index += 1
+
+
 def analyze_dataset(
     dataset: Any,
     analyses: Iterable[str] = ANALYSIS_KINDS,
@@ -780,7 +885,9 @@ def analyze_dataset(
 
     Returns ``{name: result}`` with each result bit-identical to its
     record-path spelling.  QoE-only passes skip loading TCP and
-    ground-truth columns entirely.
+    ground-truth columns entirely.  Inputs that need more than one block
+    are computed on one thread per usable core (see :class:`_BlockPlan`);
+    spans and counters are only touched on the calling thread.
     """
     from .. import obs
 
@@ -806,17 +913,20 @@ def analyze_dataset(
     states = {name: _STATE_FACTORIES[name]() for name in requested}
     with registry.span("analysis.read"):
         runs = _dataset_runs(dataset, kinds)
-        plan = _BlockPlan(runs, kinds)
-        for i in range(plan.n_blocks):
-            with registry.span("analysis.block"):
-                block = _compute_block(plan, i, want_cascade, want_truth)
-                blocks_total.inc()
-                if block is None:
-                    continue
-                sessions_total.inc(block.n_kept)
-                chunks_total.inc(len(block.verdict))
-                for state in states.values():
-                    state.update(block)
+        plan = _BlockPlan(runs, kinds, _usable_cores())
+        with closing(_computed_blocks(plan, want_cascade, want_truth)) as blocks:
+            for _ in range(plan.n_blocks):
+                # the span covers this thread's wait for the block plus
+                # its accumulator updates
+                with registry.span("analysis.block"):
+                    block = next(blocks)
+                    blocks_total.inc()
+                    if block is None:
+                        continue
+                    sessions_total.inc(block.n_kept)
+                    chunks_total.inc(len(block.verdict))
+                    for state in states.values():
+                        state.update(block)
     if metrics is None:
         obs.publish_last_run(registry)
     return {name: states[name].result() for name in requested}

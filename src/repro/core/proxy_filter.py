@@ -80,10 +80,13 @@ def filter_proxies(
     if media_budget_factor <= 0:
         raise ValueError("media_budget_factor must be positive")
 
-    player_sessions = {s.session_id: s for s in dataset.player_sessions}
-    report = ProxyFilterReport(
-        n_input_sessions=len(dataset.player_sessions), n_kept_sessions=0
-    )
+    # counted while iterating: a spilled dataset yields its sessions lazily
+    player_sessions = {}
+    n_input_sessions = 0
+    for session in dataset.player_sessions:
+        player_sessions[session.session_id] = session
+        n_input_sessions += 1
+    report = ProxyFilterReport(n_input_sessions=n_input_sessions, n_kept_sessions=0)
 
     # Rule (i): IP / user-agent mismatch between CDN logs and beacons.
     for cdn_session in dataset.cdn_sessions:

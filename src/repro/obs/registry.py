@@ -278,7 +278,8 @@ METRIC_SPECS: Dict[str, MetricSpec] = _specs(
         MetricSpec(
             "analysis.blocks_total", "counter", "blocks",
             "Session-aligned blocks processed by the columnar analysis "
-            "pass.", "—", scope="execution",
+            "pass; grows when a threaded pass divides the block budget "
+            "across its workers.", "—", scope="execution",
         ),
         MetricSpec(
             "analysis.sessions_total", "counter", "sessions",

@@ -70,8 +70,10 @@ SPAN_SPECS: Dict[str, SpanSpec] = {
         ),
         SpanSpec(
             "analysis.block",
-            "One session-aligned block of the columnar analysis pass (join, "
-            "chunk math, accumulator updates).",
+            "One session-aligned block of the columnar analysis pass, on the "
+            "calling thread: the wait for the block's join and chunk math "
+            "(computed on worker threads when the pass is threaded) plus "
+            "its accumulator updates.",
         ),
         SpanSpec(
             "serve.round",

@@ -25,6 +25,7 @@ the newest ``max_trace_events`` events (docs/TELEMETRY.md budget model).
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from typing import Any, Dict, List, Optional
@@ -58,11 +59,19 @@ class LiveService:
     ) -> None:
         self.config = config or SimulationConfig()
         self.window_ms = float(window_ms)
+        if not (math.isfinite(self.window_ms) and self.window_ms > 0):
+            raise ValueError(
+                f"window_ms must be finite and positive, got {window_ms!r}"
+            )
         self.sessions_per_round = (
             sessions_per_round
             if sessions_per_round is not None
             else self.config.n_sessions
         )
+        if self.sessions_per_round <= 0:
+            raise ValueError(
+                f"sessions_per_round must be positive, got {sessions_per_round!r}"
+            )
         self._lock = threading.Lock()
         self._sim = Simulator(self.config)
         self._windows = RollingWindows(window_ms, retain=retain_windows)

@@ -125,6 +125,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_sessions <= 0:
             raise ValueError("n_sessions must be positive")
+        if self.warmup_sessions < 0:
+            raise ValueError("warmup_sessions must be non-negative")
         if self.workers <= 0:
             raise ValueError("workers must be positive")
         if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:

@@ -436,12 +436,14 @@ class Simulator:
         Dispatches through the engine registry (:mod:`repro.engine`):
         ``config.engine`` resolves per period ("auto" picks by session
         count) and every engine produces byte-identical telemetry, so the
-        choice is pure execution strategy.
+        choice is pure execution strategy.  The end time is never before
+        *start_ms*: a period with no sessions (or a shard that owns none)
+        leaves the checkpointed clock where it was.
         """
         from ..engine import get_engine  # local import: engine imports session
 
         runner = get_engine(resolve_engine(self.config.engine, n_sessions))
-        return runner(
+        end_ms = runner(
             self,
             n_sessions=n_sessions,
             seed=seed,
@@ -449,6 +451,7 @@ class Simulator:
             start_ms=start_ms,
             trace=trace,
         )
+        return max(start_ms, end_ms)
 
     def _owns_plan(self, plan: SessionPlan) -> bool:
         """Does this shard simulate *plan*?

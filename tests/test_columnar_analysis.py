@@ -16,7 +16,12 @@ the ValueError on unknown names, the CLI choices, and the docs mentions
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -38,8 +43,11 @@ from repro.core.streaming import (
     consume,
 )
 from repro.faults import FaultEvent, FaultSpec
+from repro.obs import registry as obs_registry
+from repro.obs import spans as obs_spans
 from repro.obs.registry import MetricsRegistry
 from repro.simulation.config import SimulationConfig
+from repro.telemetry.columnar import SPILL_KINDS
 from repro.telemetry.spill import SpilledDataset, SpillWriter
 from repro.telemetry.synth import synthesize_sharded, synthesize_spill
 
@@ -160,6 +168,186 @@ class TestByteIdentity:
         assert json.dumps(out["qoe"]) == json.dumps(q_rec)
         assert json.dumps(out["localization"]) == json.dumps(loc_rec)
         _assert_reports_identical(out["faultscore"], fs_rec)
+
+
+#: the CDN-side kinds a session without a player beacon can still have
+_CDN_KINDS = ("cdn_sessions", "cdn_chunks", "tcp_snapshots", "ground_truth")
+
+
+@pytest.fixture(scope="module")
+def interleaved_spill(tmp_path_factory):
+    """A simulated multi-run spill whose runs interleave sessions.
+
+    The collector flushes a run every 64 rows in emission (time) order, so
+    each run holds pieces of many sessions and blocks that span runs reach
+    the merge (``synthesize_spill`` writes session-contiguous runs, which
+    mostly do not).  A second directory holds CDN-side rows that only a
+    correct merge puts in place:
+
+    * CDN-only sessions: every third session's CDN rows again, with
+      changed values, under the id ``<player id>x``, which byte-sorts
+      between two player session ids and shares its neighbour's chunk
+      ids;
+    * re-delivered log lines: chunk-0 CDN and TCP rows of some sessions
+      again, with changed values.  They must sort before the session's
+      later chunks; a copy with an equal key sorts after the original
+      (stability), one with an earlier ``t_ms`` before it.
+    """
+    root = tmp_path_factory.mktemp("interleaved")
+    config = SimulationConfig(
+        n_sessions=120,
+        seed=4,
+        spill_dir=str(root / "sim"),
+        spill_threshold_rows=64,
+    )
+    simulated = run(config, faults=_mixed_spec()).dataset
+    ids = [s.session_id for s in simulated.player_sessions]
+    twins, resent, backdated = set(ids[::3]), set(ids[::5]), set(ids[2::5])
+    writer = SpillWriter(root / "cdn-late", threshold_rows=64)
+
+    def twin(record):
+        # changed values, so that rows taken for the neighbour's show
+        changed = {"session_id": record.session_id + "x"}
+        if hasattr(record, "d_wait_ms"):
+            changed["d_wait_ms"] = record.d_wait_ms + 500.0
+        if hasattr(record, "cwnd_segments"):
+            changed["cwnd_segments"] = 1
+        return dataclasses.replace(record, **changed)
+
+    for kind in _CDN_KINDS:
+        writer.add_many(
+            kind, [twin(r) for r in getattr(simulated, kind) if r.session_id in twins]
+        )
+    writer.add_many(
+        "cdn_chunks",
+        [
+            dataclasses.replace(r, d_wait_ms=r.d_wait_ms + 250.0)
+            for r in simulated.cdn_chunks
+            if r.session_id in resent and r.chunk_id == 0
+        ],
+    )
+    writer.add_many(
+        "tcp_snapshots",
+        [
+            dataclasses.replace(r, srtt_ms=r.srtt_ms + 40.0)
+            for r in simulated.tcp_snapshots
+            if r.session_id in resent and r.chunk_id == 0
+        ]
+        + [
+            # a collapsed window: the chunk's verdict changes if this
+            # earlier copy is wrongly taken as the chunk's last snapshot
+            dataclasses.replace(r, t_ms=r.t_ms - 0.5, cwnd_segments=1)
+            for r in simulated.tcp_snapshots
+            if r.session_id in backdated and r.chunk_id == 0
+        ],
+    )
+    writer.finalize()
+    return SpilledDataset([root / "sim", root / "cdn-late"])
+
+
+class TestThreadedBlocks:
+    """The integer-keyed run merge and the threaded pass vs the oracle."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_forced_small_blocks_match_oracle(
+        self, interleaved_spill, monkeypatch, workers
+    ):
+        # several sessions per block even with the budget divided by 3, so
+        # CDN-only ids fall inside blocks rather than between them
+        monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", 400)
+        monkeypatch.setattr(ca, "_usable_cores", lambda: workers)
+        merged_kinds = set()
+        block = ca._BlockPlan.block
+
+        def recording_block(plan, kind, i, kept=None):
+            parts = [run[a[i] : b[i]] for run, a, b in plan.slices[kind] if b[i] > a[i]]
+            if len(parts) > 1 and any(
+                sid.endswith(b"x") for part in parts for sid in part["session_id"]
+            ):
+                merged_kinds.add(kind)
+            return block(plan, kind, i, kept)
+
+        monkeypatch.setattr(ca._BlockPlan, "block", recording_block)
+        registry = MetricsRegistry()
+        out = ca.analyze_dataset(interleaved_spill, metrics=registry)
+        counters = registry.execution_snapshot()["counters"]
+        assert counters["analysis.blocks_total"] > 5
+        assert counters["analysis.sessions_total"] == 120
+        # CDN-only rows reached a block that merges runs, in every
+        # CDN-side kind
+        assert merged_kinds >= set(_CDN_KINDS)
+        q_rec, loc_rec, fs_rec = consume(
+            interleaved_spill,
+            QoeAccumulator(),
+            LocalizationAccumulator(),
+            FaultScoreAccumulator(),
+        )
+        assert json.dumps(out["qoe"]) == json.dumps(q_rec)
+        assert json.dumps(out["localization"]) == json.dumps(loc_rec)
+        _assert_reports_identical(out["faultscore"], fs_rec)
+
+    def test_workers_open_no_spans_and_touch_no_counters(
+        self, interleaved_spill, monkeypatch
+    ):
+        monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", 97)
+        monkeypatch.setattr(ca, "_usable_cores", lambda: 3)
+        compute_threads, obs_threads = set(), set()
+        compute = ca._compute_block
+        inc = obs_registry.Counter.inc
+        enter = obs_spans._SpanHandle.__enter__
+
+        def recording_compute(*args):
+            compute_threads.add(threading.get_ident())
+            return compute(*args)
+
+        def recording_inc(counter, n=1):
+            obs_threads.add(threading.get_ident())
+            return inc(counter, n)
+
+        def recording_enter(handle):
+            obs_threads.add(threading.get_ident())
+            return enter(handle)
+
+        monkeypatch.setattr(ca, "_compute_block", recording_compute)
+        monkeypatch.setattr(obs_registry.Counter, "inc", recording_inc)
+        monkeypatch.setattr(obs_spans._SpanHandle, "__enter__", recording_enter)
+        registry = MetricsRegistry()
+        ca.analyze_dataset(interleaved_spill, metrics=registry)
+        main = threading.get_ident()
+        assert compute_threads - {main}, "no block was computed on a worker thread"
+        assert obs_threads == {main}
+        blocks = registry.execution_snapshot()["counters"]["analysis.blocks_total"]
+        (block_span,) = [
+            s for s in registry.spans_snapshot() if s["name"] == "analysis.block"
+        ]
+        assert block_span["parent"] == "analysis.read"
+        assert block_span["count"] == blocks
+
+    def test_budget_divided_only_when_several_blocks(self, tmp_path, monkeypatch):
+        spilled = synthesize_spill(tmp_path / "s", 600, seed=6, threshold_rows=512)
+        widest = max(sum(map(len, spilled.run_arrays(kind))) for kind in SPILL_KINDS)
+
+        def blocks(budget, workers):
+            monkeypatch.setattr(ca, "ITER_BLOCK_ROWS", budget)
+            monkeypatch.setattr(ca, "_usable_cores", lambda: workers)
+            registry = MetricsRegistry()
+            ca.analyze_dataset(spilled, metrics=registry)
+            return registry.execution_snapshot()["counters"]["analysis.blocks_total"]
+
+        # one block at the full budget: the pass stays serial and whole
+        assert blocks(widest + 100, 3) == 1
+        # several blocks: the budget is divided into more, smaller blocks
+        assert 1 < blocks(widest // 2, 1) < blocks(widest // 2, 3)
+
+    def test_thread_pool_imported_lazily(self):
+        # a module-level concurrent.futures import costs every program
+        # start, including the ones that never analyse several blocks
+        code = (
+            "import sys, repro.api, repro.core.columnar_analysis; "
+            "assert 'concurrent.futures' not in sys.modules"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestResolveAnalysis:

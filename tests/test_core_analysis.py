@@ -15,7 +15,9 @@ from repro.core import (
     rendering_diag,
 )
 from repro.core.proxy_filter import filter_proxies
+from repro.telemetry.columnar import SPILL_KINDS
 from repro.telemetry.dataset import Dataset
+from repro.telemetry.spill import SpillWriter
 
 from helpers import (
     cdn_chunk,
@@ -28,6 +30,37 @@ from helpers import (
 
 
 class TestProxyFilter:
+    def test_spilled_matches_in_memory(self, tmp_path):
+        # every rule fires: 24 sessions behind one impossible IP, one IP
+        # mismatch, one user-agent mismatch, and clean sessions
+        dataset = Dataset()
+        for i in range(30):
+            sid = f"s{i:02d}"
+            ip = "203.0.113.5" if i < 24 else f"10.0.0.{i}"
+            dataset.player_sessions.append(player_session(session=sid, client_ip=ip))
+            dataset.cdn_sessions.append(
+                cdn_session(
+                    session=sid,
+                    client_ip="198.51.100.7" if i == 28 else ip,
+                    user_agent="ProxyBot/1.0" if i == 29 else "UA",
+                )
+            )
+            dataset.player_chunks.append(
+                player_chunk(session=sid, chunk=0, chunk_duration_ms=3_600_000.0)
+            )
+            dataset.cdn_chunks.append(cdn_chunk(session=sid, chunk=0))
+        writer = SpillWriter(tmp_path / "spill", threshold_rows=8)
+        for kind in SPILL_KINDS:
+            writer.add_many(kind, getattr(dataset, kind))
+        spilled = writer.finalize()
+
+        filtered, report = filter_proxies(spilled)
+        expected_filtered, expected_report = filter_proxies(dataset.sorted())
+        assert report == expected_report
+        assert filtered == expected_filtered
+        assert report.n_input_sessions == 30
+        assert report.n_kept_sessions == 4
+
     def test_keeps_clean_sessions(self):
         dataset = make_dataset(2)
         filtered, report = filter_proxies(dataset)

@@ -67,6 +67,19 @@ def windows_bytes(service) -> str:
     return "\n".join(window_json_line(w) for w in service.window_documents())
 
 
+class TestServiceValidation:
+    """Bad knobs fail at construction, naming the field."""
+
+    def test_sessions_per_round_must_be_positive(self):
+        with pytest.raises(ValueError, match="sessions_per_round"):
+            LiveService(SimulationConfig(**SMALL), sessions_per_round=0)
+
+    @pytest.mark.parametrize("window_ms", [float("nan"), float("inf")])
+    def test_window_ms_must_be_finite_and_positive(self, window_ms):
+        with pytest.raises(ValueError, match="window_ms"):
+            LiveService(SimulationConfig(**SMALL), window_ms=window_ms)
+
+
 # ---------------------------------------------------------------------------
 # rolling windows
 

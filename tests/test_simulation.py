@@ -83,6 +83,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(max_buffer_ms=0.0)
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup_sessions"):
+            SimulationConfig(warmup_sessions=-1)
+        assert SimulationConfig(warmup_sessions=0).warmup_sessions == 0
+
+
+class TestEmptyPeriodClock:
+    """A period without sessions leaves the checkpointed clock where it was."""
+
+    @pytest.mark.parametrize("engine", ["event", "fleet"])
+    def test_empty_run_keeps_clock(self, engine):
+        sim = Simulator(SimulationConfig(n_sessions=40, seed=3, engine=engine))
+        sim.run()
+        end_ms = sim.clock_ms
+        assert end_ms > 0
+        sim.run(n_sessions=0)
+        assert sim.clock_ms == end_ms
+
+    @pytest.mark.parametrize("engine", ["event", "fleet"])
+    def test_empty_round_keeps_clock(self, engine):
+        sim = Simulator(SimulationConfig(n_sessions=40, seed=3, engine=engine))
+        sim.run_round(0)
+        end_ms = sim.clock_ms
+        sim.run_round(1, n_sessions=0)
+        assert sim.clock_ms == end_ms
+        sim.run_round(2)
+        assert sim.clock_ms > end_ms
+
 
 class TestDriver:
     @pytest.fixture(scope="class")
